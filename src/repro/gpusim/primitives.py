@@ -43,10 +43,9 @@ def charge_segmented_scan(ctx: GpuContext, n: int) -> None:
     """Charge the modeled cost of a segmented scan of ``n`` values —
     and nothing else.
 
-    For callers that compute the scan's *result* through a pluggable
-    compute backend (:mod:`repro.core.backend`) but must charge exactly
-    what :func:`segmented_inclusive_scan` would, so a backend swap can
-    never move a deterministic ledger counter.
+    For callers that compute the scan's *result* with a pure array
+    kernel (:mod:`repro.core.kernels`) but must charge exactly what
+    :func:`segmented_inclusive_scan` would.
     """
     _charge_scan(ctx, n, passes=3, name="segmented-scan")
 

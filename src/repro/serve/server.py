@@ -40,12 +40,13 @@ from __future__ import annotations
 import asyncio
 import contextvars
 import json
+import socket
 import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from tempfile import TemporaryDirectory
-from typing import Dict, Optional
+from typing import Dict, Optional, Set
 
 from repro.obs.dashboard import render_dashboard
 from repro.obs.distrib import (
@@ -271,6 +272,9 @@ class PartitionServer:
         #: are left exactly as a real crash would.
         self.crashed = False
         self._op_in_flight: Optional[str] = None
+        #: Accepted client connections (protocol and HTTP), so a
+        #: simulated crash can reset them the way a real kill does.
+        self._client_transports: Set[asyncio.BaseTransport] = set()
         self._tcp_server: Optional[asyncio.base_events.Server] = None
         self._http_server: Optional[asyncio.base_events.Server] = None
 
@@ -385,8 +389,9 @@ class PartitionServer:
         return path
 
     def _crash(self) -> None:
-        """Simulate a process kill: listeners vanish, nothing is
-        flushed, suspended, compacted, or closed gracefully."""
+        """Simulate a process kill: listeners vanish, open client
+        connections are reset, nothing is flushed, suspended,
+        compacted, or closed gracefully."""
         if self.flight is not None:
             self.flight.record("crash", reason="crash_after_wal")
             self._dump_flight("crash")
@@ -394,6 +399,18 @@ class PartitionServer:
         for server in (self._tcp_server, self._http_server):
             if server is not None:
                 server.close()
+        # abort() alone defers the socket close to a loop iteration
+        # that never comes once the loop is stopped below; shutting the
+        # socket down first makes peers see the disconnect right away.
+        for transport in self._client_transports:
+            sock = transport.get_extra_info("socket")
+            if sock is not None:
+                try:
+                    sock.shutdown(socket.SHUT_RDWR)
+                except OSError:
+                    pass  # peer already gone
+            transport.abort()
+        self._client_transports.clear()
         self._tcp_server = None
         self._http_server = None
         asyncio.get_running_loop().stop()
@@ -447,6 +464,7 @@ class PartitionServer:
         writer: asyncio.StreamWriter,
     ) -> None:
         self._connections.inc()
+        self._client_transports.add(writer.transport)
         try:
             while True:
                 try:
@@ -464,6 +482,7 @@ class PartitionServer:
         except (ConnectionResetError, BrokenPipeError):
             pass  # peer vanished; nothing to answer
         finally:
+            self._client_transports.discard(writer.transport)
             writer.close()
 
     async def _send_response(
@@ -1133,6 +1152,7 @@ class PartitionServer:
         reader: asyncio.StreamReader,
         writer: asyncio.StreamWriter,
     ) -> None:
+        self._client_transports.add(writer.transport)
         try:
             request_line = await reader.readline()
             # Drain headers until the blank line; we only route on path.
@@ -1188,6 +1208,7 @@ class PartitionServer:
         except (ConnectionResetError, BrokenPipeError):
             pass  # scraper vanished mid-response
         finally:
+            self._client_transports.discard(writer.transport)
             writer.close()
 
 

@@ -172,38 +172,6 @@ class TestMethodResolution:
         )
 
 
-class TestBackendDispatch:
-    def test_backend_call_expands_to_all_subclasses(self, tmp_path):
-        graph = _graph(
-            tmp_path,
-            {
-                "src/repro/core/backend/__init__.py": """
-                class KernelBackend:
-                    pass
-
-                def get_backend():
-                    return KernelBackend()
-                """,
-                "src/repro/core/backend/np_impl.py": """
-                from repro.core.backend import KernelBackend
-
-                class NumpyBackend(KernelBackend):
-                    def scan(self, xs):
-                        return xs
-                """,
-                "src/repro/core/i.py": """
-                from repro.core.backend import get_backend
-
-                def driver(xs):
-                    return get_backend().scan(xs)
-                """,
-            },
-        )
-        assert "repro.core.backend.np_impl.NumpyBackend.scan" in _callees(
-            graph, "repro.core.i.driver"
-        )
-
-
 class TestKernelScope:
     def test_call_inside_ledger_kernel_is_kernel_scoped(self, tmp_path):
         graph = _graph(

@@ -58,11 +58,13 @@ class TestFindingShape:
         assert "state_digest" in hit.symbol
 
     def test_backend_billing_is_transitive(self):
+        # The bad kernel bills only through a helper, so a hit on the
+        # kernel itself proves the checker followed the call edge.
         findings = run_fixture(FIXTURES["ledgered-backend-kernel"][0])
         hit = next(
             f for f in findings if f.rule == "ledgered-backend-kernel"
         )
-        assert "CheatingBackend" in hit.symbol
+        assert hit.symbol.endswith("kernels.choose_partition")
 
 
 class TestPragmaSuppression:

@@ -1,95 +1,18 @@
-"""The pluggable compute-backend registry and kernel-level parity.
-
-The numba backend is exercised only where numba is installed (it is an
-optional dependency); its kernels are asserted bit-identical to the
-NumPy reference on randomized inputs.
-"""
+"""The bulk array kernels of :mod:`repro.core.kernels`."""
 
 import numpy as np
-import pytest
 
-from repro.core import backend as backend_mod
-from repro.core.backend import (
-    BackendUnavailable,
-    NumpyBackend,
-    active_backend_name,
-    available_backends,
-    get_backend,
-    register_backend,
-    registered_backends,
-    set_backend,
-)
-from repro.core.backend.numba_backend import numba_import_error
-
-HAS_NUMBA = numba_import_error() is None
-
-
-@pytest.fixture(autouse=True)
-def _reset_active():
-    """Leave the process-wide active backend as the tests found it."""
-    saved = backend_mod._active
-    yield
-    backend_mod._active = saved
-
-
-class TestRegistry:
-    def test_default_is_numpy(self):
-        backend_mod._active = None
-        assert get_backend().name == "numpy"
-        assert active_backend_name() == "numpy"
-
-    def test_numpy_always_available(self):
-        assert "numpy" in available_backends()
-        assert set(available_backends()) <= set(registered_backends())
-
-    def test_numba_registered_even_when_missing(self):
-        assert "numba" in registered_backends()
-        assert ("numba" in available_backends()) == HAS_NUMBA
-
-    def test_unknown_name_raises(self):
-        with pytest.raises(KeyError, match="unknown backend"):
-            get_backend("cuda")
-        with pytest.raises(KeyError, match="registered"):
-            set_backend("nope")
-
-    def test_set_backend_switches_active(self):
-        assert set_backend("numpy") is get_backend()
-        assert active_backend_name() == "numpy"
-
-    def test_env_var_resolution(self, monkeypatch):
-        backend_mod._active = None
-        monkeypatch.setenv("REPRO_BACKEND", "numpy")
-        assert get_backend().name == "numpy"
-
-    def test_env_var_typo_raises(self, monkeypatch):
-        backend_mod._active = None
-        monkeypatch.setenv("REPRO_BACKEND", "nmupy")
-        with pytest.raises(KeyError):
-            get_backend()
-
-    def test_unavailable_backend_raises_with_cause(self):
-        if HAS_NUMBA:
-            pytest.skip("numba installed; unavailability not testable")
-        with pytest.raises(BackendUnavailable, match="numba"):
-            get_backend("numba")
-
-    def test_register_backend_rejects_duplicates(self):
-        with pytest.raises(ValueError, match="already registered"):
-            register_backend("numpy", NumpyBackend)
-
-    def test_instances_are_cached(self):
-        assert get_backend("numpy") is get_backend("numpy")
+from repro.core import kernels
 
 
 class TestNumpyKernels:
-    """Reference-kernel sanity against straightforward recomputation."""
+    """Kernel sanity against straightforward recomputation."""
 
     def test_choose_partition_tie_breaks(self):
-        b = NumpyBackend()
         counts = np.array([[3, 3, 1], [0, 0, 0]], dtype=np.int64)
         feasible = np.array([True, True, True])
         weights = np.array([10, 4, 4], dtype=np.int64)
-        targets, chosen = b.choose_partition(counts, feasible, weights)
+        targets, chosen = kernels.choose_partition(counts, feasible, weights)
         # Row 0: tie on count -> lighter partition 1.
         # Row 1: all-zero counts tie -> lightest; 1 and 2 tie on
         # weight -> smaller index 1.
@@ -97,16 +20,14 @@ class TestNumpyKernels:
         assert chosen.tolist() == [3, 0]
 
     def test_choose_partition_infeasible_fallback(self):
-        b = NumpyBackend()
         counts = np.array([[5, 2]], dtype=np.int64)
         feasible = np.array([False, False])
         weights = np.array([9, 3], dtype=np.int64)
-        targets, chosen = b.choose_partition(counts, feasible, weights)
+        targets, chosen = kernels.choose_partition(counts, feasible, weights)
         assert targets.tolist() == [1]
         assert chosen.tolist() == [2]
 
     def test_feasible_prefix_matches_sequential(self):
-        b = NumpyBackend()
         rng = np.random.default_rng(5)
         for _ in range(20):
             k = int(rng.integers(2, 6))
@@ -122,13 +43,12 @@ class TestNumpyKernels:
                 if acc.max() > w_pmax:
                     expected = j
                     break
-            got = b.feasible_prefix(targets, weights, pw, w_pmax, k)
+            got = kernels.feasible_prefix(targets, weights, pw, w_pmax, k)
             assert got == expected
 
     def test_fold_cut_deltas_stays_int64(self):
-        b = NumpyBackend()
         flat = np.zeros(9, dtype=np.int64)
-        b.fold_cut_deltas(
+        kernels.fold_cut_deltas(
             flat,
             np.array([4], dtype=np.int64),
             np.array([2], dtype=np.int64),
@@ -139,13 +59,14 @@ class TestNumpyKernels:
         assert flat[4] == -2 and flat[1] == 6
 
     def test_apply_move_deltas_matches_loop(self):
-        b = NumpyBackend()
         rng = np.random.default_rng(8)
         k, pseudo = 4, 4
         src = rng.integers(-1, k + 1, 50).astype(np.int64)
         dst = rng.integers(-1, k + 1, 50).astype(np.int64)
         w = rng.integers(1, 7, 50).astype(np.int64)
-        part_delta, pseudo_delta = b.apply_move_deltas(src, dst, w, k, pseudo)
+        part_delta, pseudo_delta = kernels.apply_move_deltas(
+            src, dst, w, k, pseudo
+        )
         expect = np.zeros(k, dtype=np.int64)
         expect_pseudo = 0
         for s, d, ww in zip(src, dst, w):
@@ -159,54 +80,3 @@ class TestNumpyKernels:
                 expect_pseudo += ww
         assert np.array_equal(part_delta, expect)
         assert pseudo_delta == expect_pseudo
-
-
-@pytest.mark.skipif(not HAS_NUMBA, reason="numba not installed")
-class TestNumbaParity:
-    """Bit-identity of every numba override vs. the NumPy reference."""
-
-    def _backends(self):
-        return NumpyBackend(), get_backend("numba")
-
-    def test_choose_partition_parity(self):
-        ref, jit = self._backends()
-        rng = np.random.default_rng(21)
-        for _ in range(30):
-            k = int(rng.integers(2, 8))
-            rows = int(rng.integers(1, 20))
-            counts = rng.integers(0, 4, (rows, k)).astype(np.int64)
-            feasible = rng.random(k) < 0.7
-            weights = rng.integers(0, 5, k).astype(np.int64)
-            t_ref, c_ref = ref.choose_partition(counts, feasible, weights)
-            t_jit, c_jit = jit.choose_partition(counts, feasible, weights)
-            assert np.array_equal(t_ref, t_jit)
-            assert np.array_equal(c_ref, c_jit)
-
-    def test_feasible_prefix_parity(self):
-        ref, jit = self._backends()
-        rng = np.random.default_rng(22)
-        for _ in range(30):
-            k = int(rng.integers(2, 8))
-            m = int(rng.integers(0, 50))
-            targets = rng.integers(0, k, m).astype(np.int64)
-            weights = rng.integers(0, 9, m).astype(np.int64)
-            pw = rng.integers(0, 30, k).astype(np.int64)
-            w_pmax = int(rng.integers(10, 90))
-            assert ref.feasible_prefix(
-                targets, weights, pw, w_pmax, k
-            ) == jit.feasible_prefix(targets, weights, pw, w_pmax, k)
-
-    def test_fold_cut_deltas_parity(self):
-        ref, jit = self._backends()
-        rng = np.random.default_rng(23)
-        for _ in range(10):
-            n = 36
-            a = np.zeros(n, dtype=np.int64)
-            b = np.zeros(n, dtype=np.int64)
-            sub_k = rng.integers(0, n, 40).astype(np.int64)
-            sub_w = rng.integers(1, 9, 40).astype(np.int64)
-            add_k = rng.integers(0, n, 40).astype(np.int64)
-            add_w = rng.integers(1, 9, 40).astype(np.int64)
-            ref.fold_cut_deltas(a, sub_k, sub_w, add_k, add_w)
-            jit.fold_cut_deltas(b, sub_k, sub_w, add_k, add_w)
-            assert np.array_equal(a, b)

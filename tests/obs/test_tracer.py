@@ -34,6 +34,7 @@ def test_span_records_host_times_and_nesting():
     assert inner_first.depth == 1 and inner_first.parent == outer.span_id
     assert outer.duration >= inner_first.duration >= 0.0
     # Same-name spans accumulate in the phase dict.
+    assert set(tracer.phase_seconds) == {"outer", "inner"}
     assert tracer.phase_seconds["inner"] == pytest.approx(
         tracer.events[0].duration + tracer.events[1].duration
     )
@@ -106,6 +107,8 @@ def test_nested_tracer_wins_and_outer_restored():
         assert active_tracer() is outer
     assert [e.name for e in outer.events] == ["outer-only"]
     assert [e.name for e in inner.events] == ["inner-only"]
+    assert set(outer.phase_seconds) == {"outer-only"}
+    assert set(inner.phase_seconds) == {"inner-only"}
 
 
 def test_cross_thread_activation_raises():
@@ -125,6 +128,7 @@ def test_cross_thread_activation_raises():
         worker.join()
     assert len(errors) == 1
     assert isinstance(errors[0], RuntimeError)
+    assert "single-threaded" in str(errors[0])
     # After the contested activation, the owning thread still works.
     with Tracer().activate() as t:
         with span("ok"):
@@ -138,7 +142,10 @@ def test_exception_inside_span_still_closes_it():
         with pytest.raises(ValueError):
             with span("doomed"):
                 raise ValueError("boom")
-    assert [e.name for e in tracer.events] == ["doomed"]
+        # The tracer survives the exception and keeps collecting.
+        with span("next"):
+            pass
+    assert [e.name for e in tracer.events] == ["doomed", "next"]
     assert active_tracer() is None
 
 

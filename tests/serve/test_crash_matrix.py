@@ -20,7 +20,7 @@ from repro.graph.modifiers import EdgeInsert
 from repro.obs.distrib import load_flight, validate_flight
 from repro.serve import ServeClient, ServerConfig, ServerThread
 from repro.serve.registry import SessionRegistry, partition_sha256
-from repro.utils.errors import ServeError
+from repro.utils.errors import ServeError, ServeTimeout
 from repro.utils.faultinject import ServeFaultPlan
 
 SPEC = {
@@ -249,3 +249,28 @@ class TestFlightDumpPerFault:
     def test_no_faults_no_dumps(self, tmp_path):
         data_dir = self._run(tmp_path, ServeFaultPlan(seed=7))
         assert _dump_reasons(data_dir) == {}
+
+
+class TestCrashResetsConnections:
+    """A simulated crash resets the client's connection at once, as a
+    real kill does, instead of leaving it to wait out its deadline."""
+
+    def test_crashing_request_sees_reset_not_timeout(self, tmp_path):
+        plan = ServeFaultPlan(seed=7)
+        plan.arm("crash_after_wal", op="submit")
+        config = ServerConfig(
+            workers=1,
+            data_dir=str(tmp_path / "d"),
+            enable_chaos=True,
+            fault_plan=plan,
+        )
+        with ServerThread(config) as thread:
+            with ServeClient(
+                "127.0.0.1", thread.tcp_port, tenant="t", timeout=5
+            ) as client:
+                client.create("s", SPEC, k=2, seed=3)
+                with pytest.raises(ServeError) as err:
+                    client.submit("s", _mods(4))
+            thread.join_crashed(timeout=5)
+        assert thread.crashed
+        assert not isinstance(err.value, ServeTimeout)

@@ -16,10 +16,6 @@ and compares it against the ``gate`` section of the checked-in
   ``CUT_HOST_FRACTION`` of the sweep (plus a jitter floor).  Before the
   incremental accumulator this phase was ~67% of the sweep; anything
   drifting back toward a pool scan fails here.
-* **backend parity** — the gate workload re-runs under every *other*
-  available compute backend (``repro.core.backend``); ledger counters,
-  final cut and partition digest must be identical to the default
-  backend's run.
 
 Usage::
 
@@ -42,7 +38,6 @@ for entry in (REPO_ROOT / "src", REPO_ROOT / "benchmarks"):
         sys.path.insert(0, str(entry))
 
 from bench_hotpath import run_hotpath  # noqa: E402
-from repro.core.backend import available_backends  # noqa: E402
 
 BASELINE_PATH = REPO_ROOT / "BENCH_hotpath.json"
 # Below this absolute slack (seconds) a wall-clock difference is noise,
@@ -106,36 +101,6 @@ def compare(baseline_gate: dict, fresh: dict, tolerance: float) -> list[str]:
     return failures
 
 
-def check_backend_parity(fresh: dict) -> list[str]:
-    """Re-run the gate workload under every other available backend.
-
-    The deterministic outputs must match the default-backend run
-    exactly; host time is not compared (that is the whole point of a
-    faster backend).
-    """
-    failures: list[str] = []
-    default_name = fresh["workload"].get("backend", "numpy")
-    for name in available_backends():
-        if name == default_name:
-            continue
-        w = fresh["workload"]
-        other = run_hotpath(
-            w["n_vertices"],
-            w["batches"],
-            seed=w["seed"],
-            k=w["k"],
-            mode=w["mode"],
-            backend=name,
-        )
-        for key in ("ledger", "final_cut", "partition_sha256"):
-            if other[key] != fresh[key]:
-                failures.append(
-                    f"backend {name!r} diverged from {default_name!r} "
-                    f"on {key}: {other[key]!r} != {fresh[key]!r}"
-                )
-    return failures
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument(
@@ -167,7 +132,6 @@ def main(argv: list[str] | None = None) -> int:
         return 0
 
     failures = compare(gate, fresh, args.tolerance)
-    failures += check_backend_parity(fresh)
     base_host = gate["host_seconds"]["sweep_total"]
     fresh_host = fresh["host_seconds"]["sweep_total"]
     print(
