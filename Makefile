@@ -4,37 +4,18 @@
 PYTHON ?= python
 export PYTHONPATH := src:$(PYTHONPATH)
 
-.PHONY: check test perf-gate chaos-smoke analysis-gate effects-gate obs-gate serve-gate serve-chaos serve-obs lint effects chaos bench
+.PHONY: check test gates lint effects chaos bench
 
 ## The pre-merge bar: full test suite + all eight deterministic gates.
-check: test perf-gate chaos-smoke analysis-gate effects-gate obs-gate serve-gate serve-chaos serve-obs
+check: test gates
 
 test:
 	$(PYTHON) -m pytest -x -q
 
-perf-gate:
-	$(PYTHON) tools/perf_gate.py
-
-chaos-smoke:
-	$(PYTHON) tools/chaos_gate.py --smoke
-
-analysis-gate:
-	$(PYTHON) tools/analysis_gate.py
-
-effects-gate:
-	$(PYTHON) tools/effects_gate.py
-
-obs-gate:
-	$(PYTHON) tools/obs_gate.py
-
-serve-gate:
-	$(PYTHON) tools/serve_gate.py
-
-serve-chaos:
-	$(PYTHON) tools/serve_chaos_gate.py
-
-serve-obs:
-	$(PYTHON) tools/serve_obs_gate.py
+## The eight gates in one process (tools/gate.py; one check module
+## each under tools/gates/).  One gate: `python tools/gate.py <name>`.
+gates:
+	$(PYTHON) tools/gate.py
 
 ## Lint only (no sanitizer sweep); fast inner-loop check.
 lint:
@@ -46,7 +27,7 @@ effects:
 
 ## Full-scale (slower) variants.
 chaos:
-	$(PYTHON) tools/chaos_gate.py
+	$(PYTHON) tools/gate.py chaos_full
 
 bench:
 	$(PYTHON) benchmarks/bench_hotpath.py --smoke

@@ -3,7 +3,7 @@
 Every bench script draws its inputs from :func:`seeded_workload` (one
 deterministic generator, so two scripts asking for the same scale and
 seed measure the *same* graph and modifier trace) and reports through
-:func:`bench_record` (one JSON schema, so ``tools/perf_gate.py`` and the
+:func:`bench_record` (one JSON schema, so ``tools/gates/perf.py`` and the
 results post-processing can consume any bench output uniformly).
 
 Record schema (``schema: repro-bench-v1``)::

@@ -4,7 +4,7 @@ Runs a seeded incremental workload (``seeded_workload``) through
 ``IGKway`` and reports, per phase, both
 
 * **host seconds** — Python wall-clock of the vectorized kernels, the
-  quantity the vector fast path optimizes and ``tools/perf_gate.py``
+  quantity the vector fast path optimizes and ``tools/gates/perf.py``
   guards against regression, and
 * **device seconds** — the simulated-GPU ledger's modeled time, which
   must stay bit-identical no matter how the host code is reorganized
@@ -227,7 +227,7 @@ def measure_tracing_overhead(
     partition must be *identical* to the bare run (spans observe cost,
     they never charge it), and the only price is host wall-clock.  The
     measured ratio is recorded next to ``sanitizer_overhead`` in the
-    smoke bench record, and ``tools/obs_gate.py`` asserts the
+    smoke bench record, and ``tools/gates/obs.py`` asserts the
     tracing-*off* path stays unmeasurable.
     """
 

@@ -19,8 +19,8 @@ changing any tenant's bits.  This bench measures both claims:
   hooks when tracing is *off* (no ``TraceRecorder`` configured): one
   inactive ``span()`` enter/exit plus one wire-trace parse of an
   untraced request.  Asserted under ``MAX_DISABLED_TRACING_NS`` — the
-  same bound ``tools/obs_gate.py --max-off-ns`` enforces — so the PR 10
-  tracing plumbing stays free for servers that never turn it on.
+  same bound as ``MAX_OFF_NS`` in ``tools/gates/obs.py`` — so the
+  serve tracing plumbing stays free for servers that never turn it on.
 
 Host numbers are wall clock and machine-dependent; every cycle count
 and digest in the record is deterministic.
@@ -66,7 +66,7 @@ PARTITION_SEED = 3
 K = 4
 
 #: Per-call budget for the disabled tracing path, matching the bound
-#: ``tools/obs_gate.py --max-off-ns`` holds the span tracer to.
+#: ``MAX_OFF_NS`` in ``tools/gates/obs.py`` holds the span tracer to.
 MAX_DISABLED_TRACING_NS = 5000.0
 
 

@@ -1,8 +1,8 @@
 """Static analysis and dynamic sanitizers for the reproduction.
 
 Three complementary checkers live here, completing the gate trio
-started by the perf gate (``tools/perf_gate.py``) and the chaos gate
-(``tools/chaos_gate.py``):
+started by the perf gate (``tools/gates/perf.py``) and the chaos gate
+(``tools/gates/chaos.py``):
 
 * **Warp-access sanitizer** (:mod:`repro.analysis.shadow`) — an opt-in
   shadow-memory mode on the :mod:`repro.gpusim` layer.  While a
@@ -31,8 +31,8 @@ started by the perf gate (``tools/perf_gate.py``) and the chaos gate
   array kernels stay ledger-free, and refinement hot paths never draw
   unseeded randomness.
 
-All are wired into ``make check`` through ``tools/analysis_gate.py``
-and ``tools/effects_gate.py`` with a checked-in baseline for
+All are wired into ``make check`` through ``tools/gates/analysis.py``
+and ``tools/gates/effects.py`` with a checked-in baseline for
 grandfathered findings; the ``repro-lint`` console script exposes the
 lint pack directly (``--effects`` adds the interprocedural pass).
 """

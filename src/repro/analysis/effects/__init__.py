@@ -29,7 +29,7 @@ This subpackage closes the gap in three layers:
   through the existing pragma/baseline machinery (suppress with
   ``# repro-lint: allow[invariant-id] reason``).
 
-Run it with ``repro-lint --effects`` or ``tools/effects_gate.py``;
+Run it with ``repro-lint --effects`` or ``python tools/gate.py effects``;
 golden bad-tree fixtures proving every invariant fires live in
 :mod:`repro.analysis.effects.fixtures`.
 """

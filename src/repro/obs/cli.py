@@ -12,7 +12,7 @@ Five subcommands::
 a nonzero device-cycle delta or a phase appearing/disappearing — or,
 with ``--fail-on-host``, when host time regressed beyond the noise
 floor.  Two seeded runs of the same revision must diff to zero (the
-``tools/obs_gate.py`` contract).
+``tools/gates/obs.py`` contract).
 
 ``python -m repro.obs.cli ...`` is equivalent.
 """

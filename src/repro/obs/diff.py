@@ -24,7 +24,7 @@ from typing import Dict, Iterable, List, Tuple
 from repro.obs.tracer import TraceEvent
 
 #: Host-seconds slack below which a delta is noise, not a regression
-#: (mirrors tools/perf_gate.py's ABSOLUTE_FLOOR).
+#: (mirrors ABSOLUTE_FLOOR in tools/gates/perf.py).
 HOST_ABSOLUTE_FLOOR = 0.05
 
 

@@ -15,7 +15,7 @@ Three render targets for one trace:
   (:meth:`to_prometheus`); re-exported here for discoverability.
 
 :func:`validate_trace` / :func:`validate_chrome_trace` implement the
-schema checks ``tools/obs_gate.py`` gates on.
+schema checks ``tools/gates/obs.py`` gates on.
 """
 
 from __future__ import annotations

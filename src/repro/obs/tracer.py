@@ -5,7 +5,7 @@ hook on :class:`~repro.gpusim.context.GpuContext`): hot paths bracket
 their phases with :func:`span`, and when no tracer is active the
 bracket is a no-op apart from a single global read — the same
 zero-cost-when-off bar shadow mode meets, guarded by
-``tools/obs_gate.py`` and the perf gate's ledger comparison.
+``tools/gates/obs.py`` and the perf gate's ledger comparison.
 
 A :class:`Tracer` activated with a :class:`~repro.gpusim.cost.CostLedger`
 attaches *device* attribution to every span: the ledger counters are

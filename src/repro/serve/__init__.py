@@ -9,7 +9,7 @@ crash-recoverable: a per-tenant serve WAL re-materializes every session
 after a process kill, and a worker supervisor fails sessions over to
 surviving devices when one dies.  See ``ARCHITECTURE.md`` §12 for the
 serving design and §14 for durability & failover;
-``tools/serve_gate.py`` and ``tools/serve_chaos_gate.py`` hold the
+``tools/gates/serve.py`` and ``tools/gates/serve_chaos.py`` hold the
 bit-identity, attribution, and crash-convergence invariants the layer
 must keep.
 """

@@ -111,7 +111,6 @@ class TenantAccount:
         self.name = name
         self.quota = quota
         self.registry = MetricsRegistry()
-        self.cycles_total = 0.0
         self._window_index = 0
         self._window_cycles_used = 0.0
         self._requests = self.registry.counter(
@@ -214,7 +213,6 @@ class TenantAccount:
         """Attribute ``delta`` simulated device cycles to this tenant."""
         if delta < 0:
             raise ValueError("cycle charge must be non-negative")
-        self.cycles_total += delta
         self._window_cycles_used += delta
         self._cycles.inc(delta)
 

@@ -30,7 +30,7 @@ bit-identical to standalone runs), while the worker serializes
 execution and owns the cycle accounting: every operation's ledger
 delta is charged to ``(worker, tenant)``, and the per-tenant charges
 sum exactly to the worker total — the attribution invariant
-``tools/serve_gate.py`` enforces.
+``tools/gates/serve.py`` enforces.
 """
 
 from __future__ import annotations

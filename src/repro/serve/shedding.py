@@ -19,7 +19,7 @@ Shed responses are retryable by contract
 (:data:`repro.serve.protocol.RETRYABLE_CODES`): a client that backs
 off and resubmits converges to the same partition it would have gotten
 without the shed, because rejection happens before any engine state is
-touched — `tools/serve_gate.py` proves this bit-identically.
+touched — `tools/gates/serve.py` proves this bit-identically.
 
 Brownout: when device workers die, the surviving pool's capacity
 shrinks; :meth:`LoadShedder.set_capacity_fraction` scales the

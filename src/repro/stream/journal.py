@@ -241,8 +241,8 @@ class StreamJournal:
 
         Dead-letter records are never compacted away: they are the
         durable proof that a submission was rejected (and why) rather
-        than lost, and :mod:`tools.chaos_gate` audits them against the
-        injected faults.
+        than lost, and the chaos gate (``tools/gates/chaos.py``) audits
+        them against the injected faults.
         """
         record = {"r": "d", "s": seq, "e": error}
         record.update(encode_modifier(modifier))

@@ -1,6 +1,6 @@
 """Deterministic fault injection for the transactional layer.
 
-The chaos harness (``tools/chaos_gate.py``) and the failure-parity
+The chaos harness (``tools/gates/chaos.py``) and the failure-parity
 tests need *reproducible* ways of making batch application fail at
 well-defined points.  :class:`FaultInjector` packages every supported
 fault class behind one seeded RNG:

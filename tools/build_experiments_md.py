@@ -21,45 +21,14 @@ def artifact(name: str) -> str:
     return path.read_text().rstrip()
 
 
-def obs_artifact() -> str:
-    """The obs-gate trace summary; optional (tracing is opt-in)."""
-    path = RESULTS / "obs.txt"
+def optional_artifact(gate: str) -> str:
+    """``results/<gate>.txt``, the report of that gate; absent is fine."""
+    path = RESULTS / f"{gate}.txt"
     if not path.exists():
         return (
-            "(no trace captured on this run; "
-            "`python tools/obs_gate.py` writes results/obs.txt)"
+            f"(not captured on this run; `python tools/gate.py {gate}` "
+            f"writes {path.name})"
         )
-    return path.read_text().rstrip()
-
-
-def serve_artifact() -> str:
-    """The serve-gate report; optional (serving is opt-in)."""
-    path = RESULTS / "serve.txt"
-    if not path.exists():
-        return (
-            "(no serving run captured; "
-            "`python tools/serve_gate.py` writes results/serve.txt)"
-        )
-    return path.read_text().rstrip()
-
-
-def serve_chaos_artifact() -> str:
-    """The serve chaos-gate report; optional (serving is opt-in)."""
-    path = RESULTS / "serve_chaos.txt"
-    if not path.exists():
-        return (
-            "(no chaos run captured; "
-            "`python tools/serve_chaos_gate.py` writes "
-            "results/serve_chaos.txt)"
-        )
-    return path.read_text().rstrip()
-
-
-def optional_artifact(name: str, command: str) -> str:
-    """A results/ artifact that an opt-in gate writes; absent is fine."""
-    path = RESULTS / f"{name}.txt"
-    if not path.exists():
-        return f"(not captured on this run; `{command}` writes {path.name})"
     return path.read_text().rstrip()
 
 
@@ -93,15 +62,11 @@ def main() -> int:
         "<<ABLATIONS>>": artifact("ablations"),
         "<<SELFCHECK>>": artifact("selfcheck"),
         "<<VARIANCE>>": artifact("variance"),
-        "<<OBSTRACE>>": obs_artifact(),
-        "<<EFFECTS>>": optional_artifact(
-            "effects", "python tools/effects_gate.py"
-        ),
-        "<<ANALYSIS>>": optional_artifact(
-            "analysis", "python tools/analysis_gate.py"
-        ),
-        "<<SERVE>>": serve_artifact(),
-        "<<SERVECHAOS>>": serve_chaos_artifact(),
+        "<<OBSTRACE>>": optional_artifact("obs"),
+        "<<EFFECTS>>": optional_artifact("effects"),
+        "<<ANALYSIS>>": optional_artifact("analysis"),
+        "<<SERVE>>": optional_artifact("serve"),
+        "<<SERVECHAOS>>": optional_artifact("serve_chaos"),
         "<<GRAPHS>>": graph_inventory(),
     }
     for key, value in substitutions.items():
