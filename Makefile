@@ -29,7 +29,10 @@ effects:
 chaos:
 	$(PYTHON) tools/gate.py chaos_full
 
+## perfbench's three workloads at smoke scale, then the bench smokes.
 bench:
-	$(PYTHON) benchmarks/bench_hotpath.py --smoke
+	$(PYTHON) perfbench/run.py --workload sweep-77k-k8 --seed 1 --seconds 1 --scale smoke
+	$(PYTHON) perfbench/run.py --workload largek-20k-k256 --seed 1 --seconds 1 --scale smoke
+	$(PYTHON) perfbench/run.py --workload serve-churn-2t --seed 1 --seconds 1 --scale smoke
 	$(PYTHON) benchmarks/bench_chaos.py --smoke
 	$(PYTHON) benchmarks/bench_serve.py --smoke

@@ -34,11 +34,11 @@ from pathlib import Path
 
 import numpy as np
 
-from bench_common import bench_record, partition_digest, seeded_workload
 from repro.core.igkway import IGKway
-from repro.core.transaction import state_digest
+from repro.eval.workloads import seeded_workload
 from repro.graph.modifiers import EdgeInsert, ModifierBatch
 from repro.partition.config import PartitionConfig
+from repro.serve.registry import partition_sha256
 from repro.utils.faultinject import FaultInjector, InjectedAbort
 
 FULL_SCALE = {"n_vertices": 20_000, "batches": 8}
@@ -47,7 +47,8 @@ SMOKE_SCALE = {"n_vertices": 2_000, "batches": 4}
 
 def run_sweep(n_vertices, batches, seed=7, k=8, mode="vector",
               transactional=True):
-    """One incremental sweep; returns (record, ledger_totals)."""
+    """One incremental sweep; returns its record (host seconds plus the
+    deterministic ledger, cut and partition digest)."""
     csr, trace = seeded_workload(n_vertices, batches, seed=seed)
     ig = IGKway(csr, PartitionConfig(k=k, mode=mode))
     ig.full_partition()
@@ -59,9 +60,9 @@ def run_sweep(n_vertices, batches, seed=7, k=8, mode="vector",
         dev_part += report.partitioning_seconds
     sweep_total = time.perf_counter() - t0
     ledger = ig.ctx.ledger.total
-    record = bench_record(
-        "chaos_txn" if transactional else "chaos_raw",
-        workload={
+    return {
+        "name": "chaos_txn" if transactional else "chaos_raw",
+        "workload": {
             "n_vertices": csr.num_vertices,
             "n_edges": int(csr.num_edges),
             "batches": batches,
@@ -69,19 +70,18 @@ def run_sweep(n_vertices, batches, seed=7, k=8, mode="vector",
             "mode": mode,
             "seed": seed,
         },
-        host_seconds={"sweep_total": sweep_total},
-        device_seconds={
+        "host_seconds": {"sweep_total": sweep_total},
+        "device_seconds": {
             "modification": dev_mod,
             "partitioning": dev_part,
         },
-        ledger={
-            "warp_instructions": ledger.warp_instructions,
-            "transactions": ledger.transactions,
+        "ledger": {
+            "warp_instructions": int(ledger.warp_instructions),
+            "transactions": int(ledger.transactions),
         },
-        final_cut=ig.cut_size(),
-        partition_sha256=partition_digest(ig.state.partition),
-    )
-    return record
+        "final_cut": int(ig.cut_size()),
+        "partition_sha256": partition_sha256(ig.state.partition),
+    }
 
 
 def measure_rollback(n_vertices=2_000, events=20, seed=7, k=8,

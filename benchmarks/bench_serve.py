@@ -18,9 +18,10 @@ changing any tenant's bits.  This bench measures both claims:
 * **tracing overhead** — the per-call cost of the distributed-tracing
   hooks when tracing is *off* (no ``TraceRecorder`` configured): one
   inactive ``span()`` enter/exit plus one wire-trace parse of an
-  untraced request.  Asserted under ``MAX_DISABLED_TRACING_NS`` — the
-  same bound as ``MAX_OFF_NS`` in ``tools/gates/obs.py`` — so the
-  serve tracing plumbing stays free for servers that never turn it on.
+  untraced request.  Their sum is asserted under
+  ``MAX_DISABLED_TRACING_NS`` — the same bound ``MAX_OFF_NS`` in
+  ``tools/gates/obs.py`` puts on the span alone — so the serve tracing
+  plumbing stays free for servers that never turn it on.
 
 Host numbers are wall clock and machine-dependent; every cycle count
 and digest in the record is deterministic.
@@ -65,9 +66,10 @@ GRAPH_SEED = 11
 PARTITION_SEED = 3
 K = 4
 
-#: Per-call budget for the disabled tracing path, matching the bound
-#: ``MAX_OFF_NS`` in ``tools/gates/obs.py`` holds the span tracer to.
-MAX_DISABLED_TRACING_NS = 5000.0
+#: Per-call budget for the disabled tracing path (span plus wire-trace
+#: parse): the bound ``MAX_OFF_NS`` in ``tools/gates/obs.py`` holds the
+#: span alone to.
+MAX_DISABLED_TRACING_NS = 1500.0
 
 
 def _graph_spec(n_vertices: int) -> dict:
@@ -176,7 +178,8 @@ def run_tracing_overhead(iterations: int = 50_000) -> dict:
     """Cost of the tracing hooks when no recorder is configured.
 
     Measures the two per-request hooks an untraced server still
-    executes: an inactive ``span()`` (one global read) and
+    executes: an inactive ``span()`` (one global read and a shared
+    no-op object) and
     ``parse_wire_trace`` on a request that carries no ``"trace"``
     field.  Both are pure host cost; the assertion pins their sum.
     """

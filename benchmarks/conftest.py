@@ -13,13 +13,6 @@ from __future__ import annotations
 
 import pytest
 
-from bench_common import (  # noqa: F401  (re-exported for bench scripts)
-    SCHEMA,
-    bench_record,
-    partition_digest,
-    seeded_workload,
-)
-
 
 def once(benchmark, fn, *args, **kwargs):
     """Run ``fn`` exactly once under the benchmark timer.

@@ -2,8 +2,8 @@
 
 The gate writes :func:`format_report` output to ``results/effects.txt``
 which ``tools/build_experiments_md.py`` folds into EXPERIMENTS.md, so
-everything here must be deterministic: sorted keys, no wall-clock
-content beyond the timing figures themselves.
+everything here must be deterministic: sorted keys and no wall-clock
+content (the gate prints the per-stage seconds instead).
 """
 
 from __future__ import annotations
@@ -64,18 +64,10 @@ def format_report(
         )
     if report.timing is not None:
         lines.append("")
-        lines.append(f"{'stage':28s} {'seconds':>9s} {'findings':>9s}")
+        lines.append(f"{'stage':28s} {'findings':>9s}")
         for row in report.timing.rows():
-            lines.append(
-                f"{str(row['stage']):28s} "
-                f"{row['seconds']:>9} "
-                f"{str(row['findings']):>9}"
-            )
-        lines.append(
-            f"{'total':28s} "
-            f"{round(report.timing.total_seconds, 4):>9} "
-            f"{len(report.findings):>9}"
-        )
+            lines.append(f"{str(row['stage']):28s} {str(row['findings']):>9}")
+        lines.append(f"{'total':28s} {len(report.findings):>9}")
     lines.append("")
     if report.findings:
         lines.append(f"{len(report.findings)} finding(s):")

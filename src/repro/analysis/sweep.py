@@ -1,8 +1,8 @@
 """Sanitized sweeps: run seeded workloads under shadow-memory mode.
 
 :func:`run_sanitized_sweep` drives the canonical bench workload
-(``benchmarks/bench_common.seeded_workload`` regenerated in-process —
-the same circuit graph + modifier trace every bench and gate uses)
+(:func:`repro.eval.workloads.seeded_workload` — the same circuit
+graph + modifier trace the benches and gates use)
 through :class:`~repro.core.igkway.IGKway` in warp mode with a
 :class:`~repro.analysis.shadow.ShadowSession` attached, and returns the
 race findings plus the per-launch access-trace digests.
@@ -17,7 +17,6 @@ as a flaky partition digest in the perf gate.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any
 
 from repro.analysis.shadow import (
     LaunchTrace,
@@ -27,8 +26,7 @@ from repro.analysis.shadow import (
     compare_traces,
 )
 from repro.core.igkway import IGKway
-from repro.eval.workloads import TraceConfig, generate_trace
-from repro.graph.generators import circuit_graph
+from repro.eval.workloads import seeded_workload
 from repro.gpusim.context import GpuContext
 from repro.partition.config import PartitionConfig
 
@@ -70,30 +68,6 @@ class SweepReport:
         )
 
 
-def _sweep_workload(
-    n_vertices: int, batches: int, seed: int
-) -> "tuple[Any, Any]":
-    """The bench_common seeded workload, regenerated in-process.
-
-    Mirrors ``benchmarks/bench_common.seeded_workload`` (same generator,
-    same trace config, same seed derivation) without importing from the
-    benchmarks directory, which is not a package on ``sys.path`` for
-    library consumers.
-    """
-    from repro.eval.workloads import auto_modifier_range
-
-    csr = circuit_graph(n_vertices, edge_ratio=1.3, seed=seed)
-    trace = generate_trace(
-        csr,
-        TraceConfig(
-            iterations=batches,
-            modifiers_per_iteration=auto_modifier_range(csr.num_vertices),
-            seed=seed,
-        ),
-    )
-    return csr, trace
-
-
 def run_sanitized_sweep(
     n_vertices: int = SWEEP_VERTICES,
     batches: int = SWEEP_BATCHES,
@@ -109,7 +83,7 @@ def run_sanitized_sweep(
     because that path exercises lane-level access patterns; vector mode
     still yields launch digests for its bulk scatters.
     """
-    csr, trace = _sweep_workload(n_vertices, batches, seed)
+    csr, trace = seeded_workload(n_vertices, batches, seed)
     ctx = GpuContext()
     ig = IGKway(csr, PartitionConfig(k=k, mode=mode), ctx=ctx)
     ig.full_partition()

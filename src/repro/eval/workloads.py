@@ -26,6 +26,7 @@ from typing import List, Sequence
 import numpy as np
 
 from repro.graph.csr import CSRGraph
+from repro.graph.generators import circuit_graph
 from repro.graph.modifiers import (
     EdgeDelete,
     EdgeInsert,
@@ -136,6 +137,27 @@ def generate_trace(
             batch.append(modifier)
         batches.append(batch)
     return batches
+
+
+def seeded_workload(
+    n_vertices: int,
+    batches: int,
+    seed: int = 7,
+    edge_ratio: float = 1.3,
+) -> tuple[CSRGraph, List[ModifierBatch]]:
+    """The seeded workload the gates and benches share: a circuit graph
+    plus a modifier trace at the paper's relative rate, fully
+    determined by the arguments."""
+    csr = circuit_graph(n_vertices, edge_ratio=edge_ratio, seed=seed)
+    trace = generate_trace(
+        csr,
+        TraceConfig(
+            iterations=batches,
+            modifiers_per_iteration=auto_modifier_range(csr.num_vertices),
+            seed=seed,
+        ),
+    )
+    return csr, trace
 
 
 def _batch_size(

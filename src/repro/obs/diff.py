@@ -234,17 +234,22 @@ def summarize(
 
 
 def format_summary(
-    events: Iterable[TraceEvent], top: int = 20
+    events: Iterable[TraceEvent], top: int = 20, host: bool = True
 ) -> str:
-    """Table of per-span host seconds and device cycles."""
+    """Table of per-span host seconds and device cycles.
+
+    ``host=False`` leaves out the host column, so the table is a
+    deterministic function of a seeded workload."""
     rows = summarize(events)
+    host_head = f" {'host ms':>10}" if host else ""
     lines = [
-        f"{'span':<26} {'calls':>7} {'host ms':>10} "
+        f"{'span':<26} {'calls':>7}{host_head} "
         f"{'device ms':>11} {'device cycles':>15}"
     ]
     for key, agg in rows[:top]:
+        host_ms = f" {agg.host_seconds * 1e3:>10.2f}" if host else ""
         lines.append(
-            f"{key:<26} {agg.count:>7} {agg.host_seconds * 1e3:>10.2f} "
+            f"{key:<26} {agg.count:>7}{host_ms} "
             f"{agg.device_seconds * 1e3:>11.4f} {agg.device_cycles:>15.1f}"
         )
     if len(rows) > top:

@@ -3,8 +3,8 @@
 One tracer is active at a time (a module global, mirroring the shadow
 hook on :class:`~repro.gpusim.context.GpuContext`): hot paths bracket
 their phases with :func:`span`, and when no tracer is active the
-bracket is a no-op apart from a single global read — the same
-zero-cost-when-off bar shadow mode meets, guarded by
+bracket is one global read plus a shared no-op context object — the
+same zero-cost-when-off bar shadow mode meets, guarded by
 ``tools/gates/obs.py`` and the perf gate's ledger comparison.
 
 A :class:`Tracer` activated with a :class:`~repro.gpusim.cost.CostLedger`
@@ -37,7 +37,7 @@ import threading
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional
+from typing import ContextManager, Dict, Iterator, List, Optional
 
 from repro.gpusim.cost import CostLedger, Counters
 
@@ -326,20 +326,42 @@ class Tracer:
         return self.ledger.total.diff(self._ledger_at_start)
 
 
-@contextmanager
-def span(name: str, batch: Optional[int] = None) -> Iterator[None]:
+class _NoSpan:
+    """The context :func:`span` returns while tracing is off: one shared
+    object whose enter and exit do nothing."""
+
+    __slots__ = ()
+
+    def __enter__(self) -> None:
+        return None
+
+    def __exit__(self, *exc_info: object) -> bool:
+        return False
+
+
+_NO_SPAN = _NoSpan()
+
+
+def span(name: str, batch: Optional[int] = None) -> ContextManager[None]:
     """Bracket a phase: records a :class:`TraceEvent` when tracing.
 
-    When no tracer is active the only cost is one module-global read.
-    ``name`` must be a literal string at every call site (enforced by
-    the ``span-literal`` lint rule) so trace-diff keys are stable
-    across runs and revisions.  ``batch`` stamps this span *and* every
-    event nested under it with a correlation id.
+    When no tracer is active the cost is one module-global read and the
+    enter/exit of a shared no-op object.  ``name`` must be a literal
+    string at every call site (enforced by the ``span-literal`` lint
+    rule) so trace-diff keys are stable across runs and revisions.
+    ``batch`` stamps this span *and* every event nested under it with a
+    correlation id.
     """
     tracer = _ACTIVE
     if tracer is None:
-        yield
-        return
+        return _NO_SPAN
+    return _traced_span(tracer, name, batch)
+
+
+@contextmanager
+def _traced_span(
+    tracer: Tracer, name: str, batch: Optional[int]
+) -> Iterator[None]:
     tracer.begin_span(name, batch=batch)
     try:
         yield

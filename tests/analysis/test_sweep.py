@@ -14,6 +14,7 @@ from repro.analysis.sweep import (
     run_sanitized_sweep,
 )
 from repro.core.igkway import IGKway
+from repro.eval.workloads import seeded_workload
 from repro.gpusim.context import GpuContext
 from repro.partition.config import PartitionConfig
 
@@ -42,9 +43,7 @@ def test_vector_mode_sweep_also_clean():
 
 def test_sanitizer_is_ledger_neutral():
     """Same workload with and without shadow: identical cost and output."""
-    from repro.analysis.sweep import _sweep_workload
-
-    csr, trace = _sweep_workload(SWEEP_VERTICES, SWEEP_BATCHES, SWEEP_SEED)
+    csr, trace = seeded_workload(SWEEP_VERTICES, SWEEP_BATCHES, SWEEP_SEED)
     ctx = GpuContext()
     ig = IGKway(csr, PartitionConfig(k=4, mode="warp"), ctx=ctx)
     ig.full_partition()

@@ -1,10 +1,11 @@
 """Host phase timing through :attr:`repro.obs.Tracer.phase_seconds`.
 
-``benchmarks/bench_hotpath.py`` reads its per-phase host seconds from a
-ledger-less tracer's ``phase_seconds`` dict. These tests pin the
-semantics it relies on: nesting, same-name accumulation, threading and
-exceptions. The remaining tracer contracts live in
-``tests/obs/test_tracer.py``.
+A tracer's ``phase_seconds`` dict accumulates host seconds per span
+name; it is how a script reads per-phase host timings without walking
+the event list. These tests pin its semantics: nesting, same-name
+accumulation, threading and exceptions, including an exception
+unwinding through a disabled span. The remaining tracer contracts live
+in ``tests/obs/test_tracer.py``.
 """
 
 from __future__ import annotations
@@ -21,6 +22,15 @@ def test_noop_outside_collector():
     assert active_tracer() is None
     with span("uncollected"):
         pass  # must not raise, must not record anywhere
+
+
+def test_disabled_span_is_one_shared_noop_that_propagates_exceptions():
+    assert active_tracer() is None
+    assert span("a") is span("b", batch=3)
+    with pytest.raises(ValueError, match="boom"):
+        with span("uncollected"):
+            raise ValueError("boom")
+    assert active_tracer() is None
 
 
 def test_same_name_accumulates():

@@ -1,17 +1,24 @@
 #!/usr/bin/env python
 """Assemble EXPERIMENTS.md from the template and the results/ artifacts.
 
-Run after ``igkway-eval all --iterations 100 --out results/``:
+Run after ``igkway-eval all --iterations 100 --out results/`` and
+``python tools/gate.py`` (which writes the gate reports):
 
     python tools/build_experiments_md.py
+
+:func:`render` returns the text without writing it; a tier-1 test
+checks that rebuilding from the tracked ``results/`` is a no-op.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 RESULTS = ROOT / "results"
+if str(ROOT / "src") not in sys.path:
+    sys.path.insert(0, str(ROOT / "src"))
 
 
 def artifact(name: str) -> str:
@@ -51,8 +58,10 @@ def graph_inventory() -> str:
     return "\n".join(lines)
 
 
-def main() -> int:
-    template = (ROOT / "EXPERIMENTS.md.template").read_text()
+def render() -> str:
+    """The text of EXPERIMENTS.md: the template with every placeholder
+    replaced by its ``results/`` artifact."""
+    text = (ROOT / "EXPERIMENTS.md.template").read_text()
     substitutions = {
         "<<TABLE1>>": artifact("table1"),
         "<<FIG1>>": artifact("fig1"),
@@ -70,10 +79,14 @@ def main() -> int:
         "<<GRAPHS>>": graph_inventory(),
     }
     for key, value in substitutions.items():
-        if key not in template:
+        if key not in text:
             raise SystemExit(f"template is missing {key}")
-        template = template.replace(key, value)
-    (ROOT / "EXPERIMENTS.md").write_text(template)
+        text = text.replace(key, value)
+    return text
+
+
+def main() -> int:
+    (ROOT / "EXPERIMENTS.md").write_text(render())
     print(f"wrote {ROOT / 'EXPERIMENTS.md'}")
     return 0
 

@@ -2,10 +2,12 @@
 """Run the deterministic gates that ``make check`` holds the repo to.
 
 Each gate is one check module under ``tools/gates/``; this runner owns
-what they share: the import paths, one ``ok``/``FAILED`` line per
-stage (report lines and failures indented under it), the artifacts
-written to ``results/`` (which ``tools/build_experiments_md.py``
-reads), and the exit status, 1 when any stage failed.
+what they share: the import paths (``src``, ``benchmarks``, ``tools``
+and ``perfbench``, whose workloads the perf gate runs), one
+``ok``/``FAILED`` line per stage (report lines and failures indented
+under it), the artifacts written to ``results/`` (which
+``tools/build_experiments_md.py`` reads), and the exit status, 1 when
+any stage failed.
 
 Usage::
 
@@ -13,7 +15,7 @@ Usage::
     python tools/gate.py perf serve       # the named gates only
     python tools/gate.py --no-write obs   # leave results/ untouched
     python tools/gate.py chaos_full       # chaos at full scale (make chaos)
-    python tools/gate.py --update perf    # re-baseline BENCH_hotpath.json
+    python tools/gate.py --update perf    # re-baseline tools/perf_baseline.json
 """
 
 from __future__ import annotations
@@ -24,7 +26,8 @@ import sys
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
-for entry in (REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "tools"):
+for entry in (REPO_ROOT / "src", REPO_ROOT / "benchmarks", REPO_ROOT / "tools",
+              REPO_ROOT / "perfbench"):
     if str(entry) not in sys.path:
         sys.path.insert(0, str(entry))
 
@@ -77,8 +80,8 @@ def main(argv: list[str] | None = None) -> int:
     )
     parser.add_argument(
         "--update", action="store_true",
-        help="re-measure the perf gate and rewrite its section of "
-        "BENCH_hotpath.json instead of checking it",
+        help="re-measure the perf gate's workloads and rewrite "
+        "tools/perf_baseline.json instead of checking it",
     )
     args = parser.parse_args(argv)
     unknown = [name for name in args.gates if name not in GATES]

@@ -12,16 +12,16 @@ Four stages, each independently pass/fail:
 2. **Sanitizer self-test** — the deliberately racy fixture kernels must
    be flagged (a silent sanitizer would let stage 3 pass vacuously) and
    the clean fixture must produce zero findings (no false positives).
-3. **Sanitized sweep** — the seeded bench_common workload runs under
+3. **Sanitized sweep** — the seeded ``seeded_workload`` sweep runs under
    shadow-memory mode twice; zero race findings and bit-identical
    access-trace digests are required.
 4. **Third-party tools** — ``ruff check`` and ``mypy`` run when the
    executables exist; when they are not installed the stage is skipped
    with a notice, never failed.
 
-A per-rule timing and finding-count summary is written to
-``results/analysis.txt`` so ``tools/build_experiments_md.py`` can fold
-it into EXPERIMENTS.md.
+A per-rule finding-count summary is written to ``results/analysis.txt``
+so ``tools/build_experiments_md.py`` can fold it into EXPERIMENTS.md;
+the per-rule host seconds are printed with the lint stage, not written.
 """
 
 from __future__ import annotations
@@ -96,18 +96,23 @@ def stage_lint() -> tuple[list[str], list[RuleRow]]:
 
 
 def summary_text(rows: list[RuleRow]) -> str:
-    """The per-rule timing/finding table for results/analysis.txt."""
+    """The per-rule finding table for results/analysis.txt."""
     lines = ["# repro-lint gate summary"]
-    lines.append(f"{'rule':24s} {'seconds':>9s} {'findings':>9s}")
-    for rule_id, elapsed, count in rows:
-        lines.append(f"{rule_id:24s} {round(elapsed, 4):>9} {count:>9}")
-    total_s = sum(r[1] for r in rows)
-    total_n = sum(r[2] for r in rows)
-    lines.append(f"{'total':24s} {round(total_s, 4):>9} {total_n:>9}")
+    lines.append(f"{'rule':28s} {'findings':>9s}")
+    for rule_id, _elapsed, count in rows:
+        lines.append(f"{rule_id:28s} {count:>9}")
+    lines.append(f"{'total':28s} {sum(r[2] for r in rows):>9}")
     lines.append("")
     lines.append("(findings are pre-baseline; the gate subtracts")
     lines.append("tools/analysis_baseline.json before failing)")
     return "\n".join(lines) + "\n"
+
+
+def timing_lines(rows: list[RuleRow]) -> list[str]:
+    """Per-rule host seconds, for the gate's printed report."""
+    lines = [f"{rule_id}: {elapsed:.4f}s" for rule_id, elapsed, _ in rows]
+    lines.append(f"total: {sum(r[1] for r in rows):.4f}s")
+    return lines
 
 
 def stage_selftest() -> list[str]:
@@ -168,7 +173,7 @@ def stage_external() -> tuple[list[str], list[str]]:
 def run() -> tuple[list[Stage], dict[str, str]]:
     lint_failures, rows = stage_lint()
     stages = [
-        Stage("lint", lint_failures),
+        Stage("lint", lint_failures, timing_lines(rows)),
         Stage("sanitizer self-test", stage_selftest()),
         Stage("sanitized sweep", stage_sweep()),
         Stage("external tools", *stage_external()),

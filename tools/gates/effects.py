@@ -13,9 +13,10 @@ Two stages, each independently pass/fail:
    slower than ``BUDGET_SECONDS`` (10 s): an analysis too slow for
    ``make check`` would get skipped, and a skipped gate is no gate.
 
-The deterministic report (call-graph stats, per-invariant timing,
-findings) is written to ``results/effects.txt``, which
-``tools/build_experiments_md.py`` folds into EXPERIMENTS.md.
+The deterministic report (call-graph stats, per-invariant findings) is
+written to ``results/effects.txt``, which
+``tools/build_experiments_md.py`` folds into EXPERIMENTS.md; the
+per-stage host seconds are printed, not written.
 """
 
 from __future__ import annotations
@@ -48,7 +49,8 @@ def stage_repo() -> tuple[list[str], list[str], str]:
     notices = [
         f"{timing.n_functions} functions, "
         f"{len(findings)} finding(s) ({len(new)} new), "
-        f"{timing.total_seconds:.2f}s"
+        f"{timing.total_seconds:.2f}s",
+        *(f"{row['stage']}: {row['seconds']}s" for row in timing.rows()),
     ]
     if timing.total_seconds > BUDGET_SECONDS:
         failures.append(

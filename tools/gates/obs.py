@@ -17,13 +17,16 @@ guarantees the rest of the tooling builds on:
 * **ledger neutrality** — a traced run's ledger counters equal an
   untraced run's exactly (spans observe cost, they never charge it);
 * **zero-cost when off** — with no tracer active, ``obs.span`` is one
-  module-global read; the gate times the disabled path and fails if a
-  no-op span costs more than ``MAX_OFF_NS`` (generous bound so a
-  loaded machine cannot flake the gate, tight enough to catch
-  accidental work on the disabled path).
+  module-global read returning a shared no-op object; the gate times
+  the disabled path and fails if a no-op span costs more than
+  ``MAX_OFF_NS`` (loose enough that a loaded machine cannot flake the
+  gate, tight enough to catch accidental work on the disabled path).
 
 The traced run's artifacts are written to ``results/obs_trace.jsonl``
-and ``results/obs.txt`` (consumed by ``tools/build_experiments_md.py``).
+(untracked: every span in it is host-timed) and ``results/obs.txt``
+(consumed by ``tools/build_experiments_md.py``).  ``obs.txt`` holds
+only deterministic figures; the per-span host milliseconds and the
+measured off-path cost are printed, not written.
 """
 
 from __future__ import annotations
@@ -32,9 +35,8 @@ import tempfile
 import time
 from pathlib import Path
 
-from bench_common import seeded_workload
-
 from repro.core.igkway import IGKway
+from repro.eval.workloads import seeded_workload
 from repro.gpusim.context import GpuContext
 from repro.obs import (
     Tracer,
@@ -59,9 +61,10 @@ REQUIRED_SPANS = ("modifiers", "balance", "refine", "refine.commit")
 #: Relative slack for float accumulation in the sum-to-ledger check.
 SUM_EPSILON = 1e-9
 
-#: Ceiling on one disabled ``span()`` in nanoseconds: a no-op context
-#: manager plus one global read is ~1µs in CPython.
-MAX_OFF_NS = 5_000.0
+#: Ceiling on one disabled ``span()`` in nanoseconds: one global read
+#: plus the enter/exit of a shared no-op object measures 0.3-0.6µs in
+#: CPython on a 2-vCPU container, a 2.5x margin or more.
+MAX_OFF_NS = 1_500.0
 
 
 def run_traced(workload: dict) -> tuple[Tracer, object]:
@@ -214,7 +217,8 @@ def run() -> tuple[list[Stage], dict[str, str]]:
         Stage(
             "trace schema",
             schema_failures,
-            [f"{n_spans} spans, {n_kernels} kernel aggregates"],
+            [f"{n_spans} spans, {n_kernels} kernel aggregates",
+             *format_summary(first.events).splitlines()],
         ),
         Stage("chrome export", check_chrome(first)),
         Stage("required spans", check_required_spans(first)),
@@ -237,9 +241,8 @@ def run() -> tuple[list[Stage], dict[str, str]]:
         "repro.obs gate summary "
         f"(|V|={WORKLOAD['n_vertices']}, "
         f"batches={WORKLOAD['batches']}, seed={WORKLOAD['seed']}, "
-        f"k={WORKLOAD['k']})\n"
-        f"tracing-off span cost: {per_call_ns:.0f} ns/call\n\n"
-        + format_summary(first.events)
+        f"k={WORKLOAD['k']})\n\n"
+        + format_summary(first.events, host=False)
         + "\n"
     )
     return stages, {"obs_trace.jsonl": trace_text, "obs.txt": summary}

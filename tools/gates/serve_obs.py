@@ -26,8 +26,9 @@ and the server, and enforces the serve-tracing contracts end to end:
   :func:`~repro.obs.distrib.validate_flight` (the ``repro-obs
   flightrec`` checker) accepts, naming the dead worker.
 
-Writes ``results/serve_obs.txt`` and ``results/dashboard.html``
-(consumed by ``tools/build_experiments_md.py`` / uploaded by CI).
+Writes ``results/serve_obs.txt`` (deterministic: no dump time stamp or
+page size) and ``results/dashboard.html`` (untracked: its latency
+histograms are host-timed; CI uploads it).
 """
 
 from __future__ import annotations
@@ -305,7 +306,7 @@ def check_dashboard(run: dict, report: list) -> list[str]:
         )
     tenants = sorted(embedded.get("tenants", {}))
     report.append(
-        f"  {len(page)} bytes, tenants {tenants}, "
+        f"  tenants {tenants}, "
         f"dataset {'matches' if embedded == independent else 'MISMATCH'}"
         " the /metrics scrape"
     )
@@ -369,7 +370,7 @@ def check_flight_dump(report: list) -> list[str]:
                 f"the fault ({kinds})"
             )
         report.append(
-            f"  {dumps[-1].name}: {len(events)} events {kinds}, "
+            f"  flightrec-*.jsonl: {len(events)} events {kinds}, "
             f"reason {header.get('reason')!r}, validation clean"
         )
     return failures
